@@ -10,7 +10,7 @@ Renyi-2 conditional entropy of the Choi state and admits a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .qmat import (
     LabelError,
     PartialIsom,
     SubsystemSpace,
+    apply_matrix,
     mat_power,
-    maximally_mixed_on,
     mes,
     partial_trace,
-    tensor,
     trace_norm,
 )
 
@@ -77,24 +76,24 @@ class KrausMap:
         collide = set(self.out_space.labels) & set(spect)
         if collide:
             raise LabelError(f"map output labels collide with spectators: {sorted(collide)}")
-        perm = m.permuted(self.in_space.labels + spect)
-        d_sp = int(np.prod([m.space.dim_of(l) for l in spect], dtype=np.int64)) if spect else 1
-        eye = np.eye(d_sp)
-        a = perm.entries
+        # move the input factors to the front once; each Kraus term is then
+        # two matmuls on the reshaped operator
+        x, sp = apply_matrix(m, None, None, self.in_space.labels)
         out = None
         for k in self.kraus:
-            big = np.kron(k, eye)
-            term = big @ a @ big.conj().T
-            out = term if out is None else out + term
-        sp_out = SubsystemSpace(
-            self.out_space.labels + spect,
-            self.out_space.dims + tuple(m.space.dim_of(l) for l in spect))
+            term, sp_out = apply_matrix(x, k, sp, self.in_space.labels,
+                                        self.out_space.labels, self.out_space.dims)
+            if out is None:
+                out = term
+            else:
+                out += term
         return LabeledOperator(sp_out, out)
 
-    def apply_to_density(self, rho: DensityOp) -> DensityOp:
-        out = self.apply(rho)
-        trace_class = rho.trace_class if self.is_trace_preserving() else "subnormalized"
-        return DensityOp(out, trace_class)
+
+def output_marginal(T: KrausMap) -> LabeledOperator:
+    """omega_T = T(1/d_in), the output marginal of T's Choi state."""
+    d = T.in_space.total_dim
+    return T.apply(LabeledOperator(T.in_space, np.eye(d) / d))
 
 
 def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
@@ -124,28 +123,16 @@ def partial_trace_map(sp: SubsystemSpace, traced_labels) -> KrausMap:
     traced = tuple(l for l in sp.labels if l in set(traced_labels))
     keep = tuple(l for l in sp.labels if l not in set(traced))
     out = sp.subspace(keep)
-    d_tr = int(np.prod([sp.dim_of(l) for l in traced], dtype=np.int64))
     d_keep = out.total_dim
+    # idx[j, i]: the basis index of the state with kept part j and traced part i
+    idx = apply_matrix(np.arange(sp.total_dim), None, sp, keep + traced)[0]
+    idx = idx.reshape(d_keep, -1)
     ks = []
-    perm_sp = sp.subspace(keep + traced)
-    # Kraus operator <i|_traced acting after reordering to (keep, traced)
-    reorder = _permutation_matrix(sp, keep + traced)
-    for i in range(d_tr):
-        bra = np.zeros((1, d_tr))
-        bra[0, i] = 1.0
-        ks.append(np.kron(np.eye(d_keep), bra) @ reorder)
+    for col in idx.T:
+        k = np.zeros((d_keep, sp.total_dim))
+        k[np.arange(d_keep), col] = 1.0
+        ks.append(k)
     return KrausMap(sp, out, ks, "cptp")
-
-
-def _permutation_matrix(sp: SubsystemSpace, new_labels) -> np.ndarray:
-    """Basis permutation matrix sending label order sp.labels to new_labels."""
-    new_labels = tuple(new_labels)
-    d = sp.total_dim
-    perm = [sp.labels.index(l) for l in new_labels]
-    idx = np.arange(d).reshape(sp.dims).transpose(perm).ravel()
-    p = np.zeros((d, d))
-    p[np.arange(d), idx] = 1.0
-    return p
 
 
 def depolarizing_map(sp: SubsystemSpace, p: float) -> KrausMap:
@@ -207,7 +194,6 @@ def map_from_choi(c: ChoiMatrix, in_space: SubsystemSpace,
     """Rebuild a Kraus map from its Choi matrix (round-trip check helper)."""
     d_in = in_space.total_dim
     d_out = out_space.total_dim
-    m = c.op.entries.reshape(d_out, d_in, d_out, d_in)
     w, v = np.linalg.eigh(c.op.entries)
     ks = []
     for i in range(len(w)):

@@ -33,10 +33,10 @@ from .qmat import (
     DensityOp,
     LabeledOperator,
     PureState,
-    SubsystemSpace,
     mes,
     purify,
     space,
+    tensor,
     tensor_states,
     truncation_isometry,
 )
@@ -220,13 +220,12 @@ def _twirl_row(cfg: ExperimentConfig, pt: dict, seed: RngSeed) -> dict:
             w = LabeledOperator(space(R=2),
                                 g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2)))
             exact = twirl.twirl_moment2(sig, x, w)
-            big_w = LabeledOperator(sig.space, np.kron(x.entries, w.entries))
+            x_w = tensor(x, w)
 
             def one(u):
                 rot = twirl._conjugate_on(sig, u, "A")
                 rot_d = twirl._conjugate_on(sig.dagger(), u, "A")
-                return LabeledOperator(
-                    sig.space, rot.entries @ big_w.entries @ rot_d.entries)
+                return rot @ x_w @ rot_d
 
             avg = ensemble_average_operator(one, ens)
         dev = max(dev, float(np.abs(exact.entries - avg.entries).max()))
@@ -423,6 +422,11 @@ def main(argv=None) -> int:
         if f not in ("csv", "json"):
             print(f"unknown format {f!r}", file=sys.stderr)
             return 2
+    try:
+        twirl._worker_count()
+    except ValueError as e:
+        print(f"environment error: {e}", file=sys.stderr)
+        return 2
     report = run(cfg)
     paths = emit(report, cfg.out, formats)
     failures = sum(1 for r in report.rows if r.get("error"))

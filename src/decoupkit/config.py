@@ -7,7 +7,7 @@ carry no meaning, and every other line must read 'key = value'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 KINDS = ("entropy", "theta", "twirl_check", "decouple", "protocol", "sweep")
 DTYPES = ("old", "sandwiched", "both")

@@ -12,12 +12,12 @@ the proof rests on, plus the classical-quantum generalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausMap, choi, is_class1, theta
-from .entropy import INF_DIVERGENCE, CondEntropyResult, RenyiParams, d_alpha, h_cond
+from .channels import KrausMap, is_class1, output_marginal, theta
+from .entropy import INF_DIVERGENCE, RenyiParams, d_alpha, h_cond
 from .qmat import (
     DensityOp,
     LabeledOperator,
@@ -153,9 +153,7 @@ def decoupling_error(inst: DecouplingInstance, u: np.ndarray) -> float:
     op = state.op
     rotated = _conjugate_on(op, u, inst.label_a)
     out = inst.T.apply(rotated)
-    c = choi(inst.T)
-    om_e = partial_trace(c.op, tuple(l for l in c.op.labels
-                                     if l not in set(inst.T.out_space.labels)))
+    om_e = output_marginal(inst.T)
     sig_r = partial_trace(op, {inst.label_a})
     ref = tensor(om_e, sig_r).permuted(out.labels)
     return trace_norm(out - ref)
@@ -400,10 +398,7 @@ def mc_lhs_cq(inst: CqInstance, n_samples: int, seed: RngSeed) -> McEstimate:
               for s in inst.rho_x]
     avg_r = sum(p * m.entries for p, m in zip(inst.p, r_marg))
     if dim_a != 1:
-        c = choi(inst.T)
-        om_e = partial_trace(c.op, tuple(
-            l for l in c.op.labels if l not in set(inst.T.out_space.labels)))
-        ref = tensor(om_e, LabeledOperator(r_marg[0].space, avg_r))
+        ref = tensor(output_marginal(inst.T), LabeledOperator(r_marg[0].space, avg_r))
     else:
         ref = LabeledOperator(r_marg[0].space, avg_r)
 

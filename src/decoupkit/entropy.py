@@ -11,7 +11,7 @@ All outputs are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .qmat import (
     partial_trace,
     support_projector,
     tensor,
-    trace_norm,
 )
 
 INF_DIVERGENCE = math.inf

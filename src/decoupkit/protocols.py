@@ -20,10 +20,7 @@ from .channels import (
     compressive_map,
     heisenberg_weyl,
     measurement_map,
-    randomizing_map,
-    t_w_map,
     theta,
-    trace_map,
 )
 from .entropy import RenyiParams, h_cond, renyi_entropy
 from .qmat import (
@@ -43,8 +40,8 @@ from .qmat import (
     truncation_isometry,
     xi,
 )
-from .twirl import RngSeed, haar_unitary
-from .decouple import simultaneous_witness
+from .twirl import RngSeed
+from .decouple import _prefactor, simultaneous_witness
 
 MAX_PROTOCOL_DIM = 4096
 DEFAULT_TRIES = 25
@@ -108,13 +105,9 @@ def iid_pure(psi: PureState, n: int) -> PureState:
 
 def marginal(vec: np.ndarray, sp: SubsystemSpace, keep_labels) -> LabeledOperator:
     """Reduced density operator of a raw state vector on the kept factors."""
-    keep = tuple(keep_labels)
-    rest = tuple(l for l in sp.labels if l not in set(keep))
-    perm = [sp.labels.index(l) for l in keep + rest]
-    t = np.asarray(vec).reshape(sp.dims).transpose(perm)
-    dk = int(np.prod([sp.dim_of(l) for l in keep], dtype=np.int64))
-    m = t.reshape(dk, -1)
-    return LabeledOperator(sp.subspace(keep), m @ m.conj().T)
+    keep = sp.subspace(keep_labels)
+    m = apply_matrix(vec, None, sp, keep.labels)[0].reshape(keep.total_dim, -1)
+    return LabeledOperator(keep, m @ m.conj().T)
 
 
 def uhlmann_isometry(xi_vec: np.ndarray, xi_space: SubsystemSpace,
@@ -132,8 +125,9 @@ def uhlmann_isometry(xi_vec: np.ndarray, xi_space: SubsystemSpace,
     shared_c = tuple(l for l in psi_space.labels if l not in set(c))
     if set(shared) != set(shared_c):
         raise ValueError(f"shared systems differ: {shared} vs {shared_c}")
-    xm, _ = _as_matrix(xi_vec, xi_space, shared, b)
-    pm, _ = _as_matrix(psi_vec, psi_space, shared, c)
+    ds = xi_space.subspace(shared).total_dim
+    xm = apply_matrix(xi_vec, None, xi_space, shared + b)[0].reshape(ds, -1)
+    pm = apply_matrix(psi_vec, None, psi_space, shared + c)[0].reshape(ds, -1)
     db = xm.shape[1]
     dc = pm.shape[1]
     if db > dc:
@@ -141,13 +135,6 @@ def uhlmann_isometry(xi_vec: np.ndarray, xi_space: SubsystemSpace,
     n_mat = xm.T @ pm.conj()  # (b, c) cross-overlap
     u, _, vh = np.linalg.svd(n_mat, full_matrices=True)
     return vh.conj().T @ np.eye(dc, db) @ u.conj().T
-
-
-def _as_matrix(vec, sp, shared, rest):
-    perm = [sp.labels.index(l) for l in tuple(shared) + tuple(rest)]
-    t = np.asarray(vec).reshape(sp.dims).transpose(perm)
-    ds = int(np.prod([sp.dim_of(l) for l in shared], dtype=np.int64))
-    return t.reshape(ds, -1), ds
 
 
 def uhlmann_extend(xi_AB, psi_AC: PureState, eps: float,
@@ -217,17 +204,6 @@ def fuchs_vdg_check(rho, sigma, tol: float = 1e-9):
     return lower, tn, upper
 
 
-def _prefactor(alpha: float) -> float:
-    return (alpha - 1.0) / (2.0 * alpha)
-
-
-def _apply_unitary(vec: np.ndarray, sp: SubsystemSpace, u: np.ndarray,
-                   act_labels) -> np.ndarray:
-    out, sp_out = apply_matrix(vec, u, sp, act_labels)
-    perm = [sp_out.labels.index(l) for l in sp.labels]
-    return out.reshape(sp_out.dims).transpose(perm).ravel()
-
-
 # ---------------------------------------------------------------------------
 # Schumacher compression
 
@@ -249,15 +225,14 @@ def schumacher_run(psi_AR: PureState, n: int, dim_b: int, seed: RngSeed,
         raise ValueError("instance exceeds the protocol dimension cap")
     psin = iid_pure(psi_AR, n)
     sp = psin.space
-    drn = sp.dim_of("R")
     psi_r_n = marginal(psin.amplitudes, sp, ("R",))
     w = truncation_isometry(sp.subspace(("A",)),
                             SubsystemSpace(("B",), (dim_b,)))
     scale = dan / dim_b
 
     def err(u: np.ndarray) -> float:
-        vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-        wv, sp2 = apply_matrix(vec, w.entries, sp, ("A",), ("B",), (dim_b,))
+        vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+        wv, sp2 = apply_matrix(vec, w.entries, sp1, ("A",), ("B",), (dim_b,))
         xi_r = marginal(wv, sp2, ("R",)) * scale
         return trace_norm(xi_r - psi_r_n)
 
@@ -266,10 +241,10 @@ def schumacher_run(psi_AR: PureState, n: int, dim_b: int, seed: RngSeed,
     u = rep.unitary
 
     # Uhlmann step: align W^dag T_W[U . psi] with psi via a unitary V on A^n
-    vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-    proj_vec = math.sqrt(scale) * _apply_unitary(
-        vec, sp, w.entries.conj().T @ w.entries, ("A",))
-    v = uhlmann_isometry(proj_vec, sp, psin.amplitudes, sp, ("A",), ("A",))
+    vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+    proj_vec, sp1 = apply_matrix(vec, w.entries.conj().T @ w.entries, sp1, ("A",))
+    v = uhlmann_isometry(math.sqrt(scale) * proj_vec, sp1, psin.amplitudes, sp,
+                         ("A",), ("A",))
     w2 = PartialIsom(sp.subspace(("A",)), w.codomain_space, w.entries @ v)
     measured = _schumacher_error(psin, w2, dim_b)
     bound = 2.0 * xi(eps_n)
@@ -290,16 +265,15 @@ def _schumacher_error(psin: PureState, w2: PartialIsom, dim_b: int) -> float:
     there.  Agrees with the channel-level computation, checked at small n.
     """
     sp = psin.space
-    drn = sp.dim_of("R")
     w2e = w2.entries
     v1, _ = apply_matrix(psin.amplitudes, w2e, sp, ("A",), ("B",), (dim_b,))
     kerp = np.eye(w2e.shape[1]) - w2e.conj().T @ w2e
-    pvec = _apply_unitary(psin.amplitudes, sp, kerp, ("A",))
-    rho_r = marginal(pvec, sp, ("R",)).entries
+    # the residual of psi outside the column span of kron(W2^dag, I)
+    resid, sp_r = apply_matrix(psin.amplitudes, kerp, sp, ("A",))
+    rho_r = marginal(resid, sp_r, ("R",)).entries
     sigma = np.outer(v1, v1.conj()) + np.kron(np.eye(dim_b) / dim_b, rho_r)
     # orthonormal basis: columns of kron(W2^dag, I) plus the residual of psi
     c1 = v1  # kron(W2, I) psi, coordinates of psi inside the column span
-    resid = psin.amplitudes - _lift(c1, w2e, sp, dim_b)
     r_norm = np.linalg.norm(resid)
     d = sigma.shape[0] + 1
     red = np.zeros((d, d), dtype=complex)
@@ -308,17 +282,6 @@ def _schumacher_error(psin: PureState, w2: PartialIsom, dim_b: int) -> float:
     red[-1, :-1] = -c1.conj() * r_norm
     red[-1, -1] = -r_norm ** 2
     return trace_norm(red)
-
-
-def _lift(vec_b: np.ndarray, w2e: np.ndarray, sp: SubsystemSpace,
-          dim_b: int) -> np.ndarray:
-    sp_b = SubsystemSpace(("B",) + tuple(l for l in sp.labels if l != "A"),
-                          (dim_b,) + tuple(sp.dim_of(l) for l in sp.labels
-                                           if l != "A"))
-    out, sp_out = apply_matrix(vec_b, w2e.conj().T, sp_b, ("B",), ("A",),
-                               (w2e.shape[1],))
-    perm = [sp_out.labels.index(l) for l in sp.labels]
-    return out.reshape(sp_out.dims).transpose(perm).ravel()
 
 
 def _schumacher_bound(psi_AR: PureState, n: int, dim_b: int, alpha: float) -> float:
@@ -361,12 +324,12 @@ def fqsw_run(psi_ABR: PureState, n: int, dim_a1: int, dim_a2: int,
     ref2 = tensor(pi_a1, psi_r)
 
     def err1(u: np.ndarray) -> float:
-        vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-        return trace_norm(scale * marginal(vec, sp, ("B", "R")) - psi_br)
+        vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+        return trace_norm(scale * marginal(vec, sp1, ("B", "R")) - psi_br)
 
     def err2(u: np.ndarray) -> float:
-        vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-        wv, sp2 = apply_matrix(vec, w.entries, sp, ("A",),
+        vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+        wv, sp2 = apply_matrix(vec, w.entries, sp1, ("A",),
                                ("A1", "A2"), (dim_a1, dim_a2))
         return trace_norm(scale * marginal(wv, sp2, ("A1", "R")) - ref2)
 
@@ -382,8 +345,8 @@ def fqsw_run(psi_ABR: PureState, n: int, dim_a1: int, dim_a2: int,
     u = rep.unitary
 
     # decoder from the second condition
-    vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-    tau_vec, sp_tau = apply_matrix(math.sqrt(scale) * vec, w.entries, sp,
+    vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+    tau_vec, sp_tau = apply_matrix(math.sqrt(scale) * vec, w.entries, sp1,
                                    ("A",), ("A1", "A2"), (dim_a1, dim_a2))
     target = tensor_states(
         mes(dim_a1, "A1", "B1"),
@@ -392,25 +355,24 @@ def fqsw_run(psi_ABR: PureState, n: int, dim_a1: int, dim_a2: int,
                                ("A2", "B"), ("B1", "Bt", "B3"))
 
     # Alice-side unitary V from the first condition
-    proj_vec = scale ** 0.5 * _apply_unitary(
-        vec, sp, w.entries.conj().T @ w.entries, ("A",))
-    v = uhlmann_isometry(proj_vec, sp, psin.amplitudes, sp, ("A",), ("A",))
+    proj_vec, sp1 = apply_matrix(vec, w.entries.conj().T @ w.entries, sp1, ("A",))
+    v = uhlmann_isometry(scale ** 0.5 * proj_vec, sp1, psin.amplitudes, sp,
+                         ("A",), ("A",))
 
     # run the protocol end to end; the final state has rank at most the
     # encoder's Kraus count, so stay in the span of a few state vectors
     # instead of materializing operators on the full output space
     enc = compressive_map(w)
-    encoded_vec = _apply_unitary(psin.amplitudes, sp, v, ("A",))
+    encoded_vec, sp_enc = apply_matrix(psin.amplitudes, v, sp, ("A",))
     order = target.space.labels
     cols = []
     for k in enc.kraus:
-        v2, sp2 = apply_matrix(encoded_vec, k, sp, ("A",),
+        v2, sp2 = apply_matrix(encoded_vec, k, sp_enc, ("A",),
                                ("A1", "A2"), (dim_a1, dim_a2))
         v3, sp3 = apply_matrix(v2, u_tilde, sp2, ("A2", "B"),
                                ("B1", "Bt", "B3"), (dim_a1, dan, db ** n))
-        perm = [sp3.labels.index(l) for l in order]
-        cols.append(v3.reshape(sp3.dims).transpose(perm).ravel())
-    stacked = np.column_stack(cols + [target.permuted(order).amplitudes])
+        cols.append(apply_matrix(v3, None, sp3, order)[0])
+    stacked = np.column_stack(cols + [target.amplitudes])
     _, r = np.linalg.qr(stacked)
     small_f = r[:, :-1]
     small_t = r[:, -1:]
@@ -492,10 +454,9 @@ def merge_run(psi_ABR: PureState, n: int, cfg: MergeConfig, seed: RngSeed,
     ref2 = tensor(psi_br, pi_b0)
 
     def t_then_measure(u: np.ndarray):
-        vec = _apply_unitary(full.amplitudes, sp, u, ("A", "A0"))
-        wv, sp2 = apply_matrix(math.sqrt(scale) * vec, w.entries, sp,
-                               ("A",), ("E",), (cfg.dim_e,))
-        return wv, sp2
+        vec, sp1 = apply_matrix(full.amplitudes, u, sp, ("A", "A0"))
+        return apply_matrix(math.sqrt(scale) * vec, w.entries, sp1,
+                            ("A",), ("E",), (cfg.dim_e,))
 
     def err1(u: np.ndarray) -> float:
         wv, sp2 = t_then_measure(u)
@@ -530,39 +491,38 @@ def merge_run(psi_ABR: PureState, n: int, cfg: MergeConfig, seed: RngSeed,
     u = rep.unitary
 
     # Alice-side alignment unitary V on (A^n, A0) from the eps condition
-    vec = _apply_unitary(full.amplitudes, sp, u, ("A", "A0"))
-    proj_vec = math.sqrt(scale) * _apply_unitary(
-        vec, sp, w.entries.conj().T @ w.entries, ("A",))
-    v = uhlmann_isometry(proj_vec, sp, full.amplitudes, sp,
+    vec, sp1 = apply_matrix(full.amplitudes, u, sp, ("A", "A0"))
+    proj_vec, sp_p = apply_matrix(vec, w.entries.conj().T @ w.entries, sp1, ("A",))
+    v = uhlmann_isometry(math.sqrt(scale) * proj_vec, sp_p, full.amplitudes, sp,
                          ("A", "A0"), ("A", "A0"))
 
     # per-outcome decoders from the measured branches
-    encoded_vec = _apply_unitary(full.amplitudes, sp, v, ("A", "A0"))
+    encoded_vec, sp_enc = apply_matrix(full.amplitudes, v, sp, ("A", "A0"))
     enc_w = compressive_map(w)
-    encoded = enc_w.apply(LabeledOperator(sp, np.outer(encoded_vec,
-                                                       encoded_vec.conj())))
+    encoded = enc_w.apply(LabeledOperator(sp_enc, np.outer(encoded_vec,
+                                                           encoded_vec.conj())))
     sigma = e_map.apply(encoded)
 
-    wv2, sp2 = apply_matrix(math.sqrt(scale) * vec, w.entries, sp,
+    wv2, sp2 = apply_matrix(math.sqrt(scale) * vec, w.entries, sp1,
                             ("A",), ("E",), (cfg.dim_e,))
     target = tensor_states(
         mes(cfg.dim_a1, "A1", "B1"),
         iid_pure(psi_ABR.relabeled({"A": "Bt", "B": "B2"}), n))
     d_kraus = []
-    mx_list = [k for k in e_map.kraus]
     d_in = SubsystemSpace(("X", "B", "B0"),
                           (cfg.J, db ** n, cfg.dim_a0))
     d_out = target.space.subspace(("B1", "Bt", "B2"))
     for x in range(cfg.J):
         # branch state xi_x (pure, possibly subnormalized after normalization by 1/J)
-        mx = _mx_block(e_map, x, cfg)
+        # M_x: the Kraus rows (X = x, A1) of the block measurement
+        mx = e_map.kraus[x][x * cfg.dim_a1:(x + 1) * cfg.dim_a1]
         bvec, bsp = apply_matrix(wv2, mx, sp2, ("E", "A0"), ("A1",), (cfg.dim_a1,))
         bvec = bvec * math.sqrt(cfg.J)
         vx = uhlmann_isometry(bvec, bsp, target.amplitudes, target.space,
                               ("B", "B0"), ("B1", "Bt", "B2"))
         sel = np.zeros((1, cfg.J))
         sel[0, x] = 1.0
-        d_kraus.append(vx @ np.kron(sel, np.eye(db ** n * cfg.dim_a0)))
+        d_kraus.append(np.kron(sel, vx))
     dec = KrausMap(d_in, d_out, d_kraus, "cp_general")
     final = dec.apply(sigma.permuted(("X", "B", "B0", "A1", "R")))
     tgt = target.projector().op.permuted(final.labels)
@@ -578,13 +538,6 @@ def merge_run(psi_ABR: PureState, n: int, cfg: MergeConfig, seed: RngSeed,
         witnesses={"tries": rep.tries, "anomaly": rep.anomaly,
                    "epsilon_n": eps_n, "vartheta_n": tht_n, "beta_n": beta_n,
                    "omega_gap": omega_gap, "errors": rep.errors})
-
-
-def _mx_block(e_map: KrausMap, x: int, cfg: MergeConfig) -> np.ndarray:
-    """Extract the measurement operator M_x from the block Kraus form."""
-    k = e_map.kraus[x]
-    # kraus rows are (X, A1); select the x-th X block
-    return k.reshape(cfg.J, cfg.dim_a1, -1)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +569,18 @@ def destroy_run(rho_AR: DensityOp, n: int, m_unitaries: int, seed: RngSeed,
     rho_r_n = marginal(psin.amplitudes, sp, ("R",))
     pi_b = np.eye(dim_b) / dim_b
 
+    ref2 = np.kron(pi_b, rho_r_n.entries)
+
     def err1(u: np.ndarray) -> float:
-        vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-        return trace_norm(scale * marginal(vec, sp, ("R", "Ec")) - psi_re)
+        vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+        return trace_norm(scale * marginal(vec, sp1, ("R", "Ec")) - psi_re)
 
     def err2(u: np.ndarray) -> float:
-        vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-        wv, sp2 = apply_matrix(vec, w.entries, sp, ("A",), ("B",), (dim_b,))
-        twirled = None
+        vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+        wv, sp2 = apply_matrix(vec, w.entries, sp1, ("A",), ("B",), (dim_b,))
         base = scale * marginal(wv, sp2, ("B", "R"))
-        for vb in vs:
-            big = np.kron(vb, np.eye(dr ** n))
-            term = big @ base.entries @ big.conj().T
-            twirled = term if twirled is None else twirled + term
-        ref = np.kron(pi_b, rho_r_n.entries)
-        return trace_norm(twirled / len(vs) - ref)
+        twirled = sum(apply_matrix(base, vb, None, ("B",))[0] for vb in vs)
+        return trace_norm(twirled / len(vs) - ref2)
 
     pref = _prefactor(alpha)
     rho_a = partial_trace(rho_AR.op, ("R",))
@@ -643,19 +593,15 @@ def destroy_run(rho_AR: DensityOp, n: int, m_unitaries: int, seed: RngSeed,
     rep = simultaneous_witness([err1, err2], [eps_n, tht_n], dan, n_tries, seed)
     u = rep.unitary
 
-    vec = _apply_unitary(psin.amplitudes, sp, u, ("A",))
-    proj_vec = math.sqrt(scale) * _apply_unitary(
-        vec, sp, w.entries.conj().T @ w.entries, ("A",))
-    u2 = uhlmann_isometry(proj_vec, sp, psin.amplitudes, sp, ("A",), ("A",))
+    vec, sp1 = apply_matrix(psin.amplitudes, u, sp, ("A",))
+    proj_vec, sp1 = apply_matrix(vec, w.entries.conj().T @ w.entries, sp1, ("A",))
+    u2 = uhlmann_isometry(math.sqrt(scale) * proj_vec, sp1, psin.amplitudes, sp,
+                          ("A",), ("A",))
 
     rho_n = marginal(psin.amplitudes, sp, ("A", "R"))
     lifted = [w.entries.conj().T @ vb @ w.entries
               + np.eye(dan) - w.entries.conj().T @ w.entries for vb in vs]
-    mixed = None
-    for vi in lifted:
-        big = np.kron(vi @ u2, np.eye(dr ** n))
-        term = big @ rho_n.entries @ big.conj().T
-        mixed = term if mixed is None else mixed + term
+    mixed = sum(apply_matrix(rho_n, vi @ u2, None, ("A",))[0] for vi in lifted)
     mixed = mixed / len(lifted)
     sigma_an = w.entries.conj().T @ pi_b @ w.entries
     ref = np.kron(sigma_an, rho_r_n.entries)

@@ -9,9 +9,8 @@ in the label order, fixed globally.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class SubsystemSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
+        return math.prod(self.dims)
 
     def dim_of(self, label: str) -> int:
         try:
@@ -139,35 +138,14 @@ class LabeledOperator:
             raise LabelError(f"{new_labels} is not a permutation of {self.labels}")
         if new_labels == self.labels:
             return LabeledOperator(self.space, self.entries.copy(), self.hermitian_hint)
-        k = len(self.labels)
-        perm = [self.labels.index(l) for l in new_labels]
-        t = self.entries.reshape(self.space.dims * 2)
-        t = t.transpose(perm + [p + k for p in perm])
-        new_space = self.space.subspace(new_labels)
-        return LabeledOperator(new_space, t.reshape(new_space.total_dim, -1),
-                               self.hermitian_hint)
+        out, sp = apply_matrix(self.entries, None, self.space, new_labels)
+        return LabeledOperator(sp, out, self.hermitian_hint)
 
     def relabeled(self, mapping: dict) -> "LabeledOperator":
         """Rename subsystems (dimensions unchanged)."""
         labels = tuple(mapping.get(l, l) for l in self.labels)
         return LabeledOperator(SubsystemSpace(labels, self.space.dims),
                                self.entries, self.hermitian_hint)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "labels": list(self.labels),
-            "dims": list(self.space.dims),
-            "re": self.entries.real.ravel().tolist(),
-            "im": self.entries.imag.ravel().tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "LabeledOperator":
-        obj = json.loads(text)
-        sp = SubsystemSpace(tuple(obj["labels"]), tuple(obj["dims"]))
-        d = sp.total_dim
-        entries = (np.array(obj["re"]) + 1j * np.array(obj["im"])).reshape(d, d)
-        return cls(sp, entries)
 
 
 def _require_same_space(a: LabeledOperator, b: LabeledOperator):
@@ -259,11 +237,10 @@ class PureState:
 
     def permuted(self, new_labels) -> "PureState":
         new_labels = tuple(new_labels)
-        if set(new_labels) != set(self.labels):
+        if set(new_labels) != set(self.labels) or len(new_labels) != len(self.labels):
             raise LabelError(f"{new_labels} is not a permutation of {self.labels}")
-        perm = [self.labels.index(l) for l in new_labels]
-        t = self.amplitudes.reshape(self.space.dims).transpose(perm)
-        return PureState(self.space.subspace(new_labels), t.ravel())
+        amps, sp = apply_matrix(self.amplitudes, None, self.space, new_labels)
+        return PureState(sp, amps)
 
     def relabeled(self, mapping: dict) -> "PureState":
         labels = tuple(mapping.get(l, l) for l in self.labels)
@@ -334,13 +311,6 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
         raise LabelError(f"label collision on {sorted(collide)} in tensor product")
     sp = SubsystemSpace(a.labels + b.labels, a.space.dims + b.space.dims)
     return LabeledOperator(sp, np.kron(a.entries, b.entries))
-
-
-def tensor_all(*ops: LabeledOperator) -> LabeledOperator:
-    out = ops[0]
-    for o in ops[1:]:
-        out = tensor(out, o)
-    return out
 
 
 def partial_trace(m: LabeledOperator, traced_labels) -> LabeledOperator:
@@ -469,19 +439,14 @@ def pinch(sigma, rho):
     b = _as_psd_matrix(rho)
     if np.abs(a - a.conj().T).max(initial=0.0) > 1e-8:
         raise ValueError("pinching reference must be Hermitian")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)  # ascending, as eig_clusters expects
     out = np.zeros_like(b)
-    idx = np.argsort(w)
-    w = w[idx]
-    v = v[:, idx]
-    thr = 1e-8 * max(1.0, float(np.abs(w).max(initial=0.0)))
     start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > thr:
-            block = v[:, start:i]
-            p = block @ block.conj().T
-            out += p @ b @ p
-            start = i
+    for cluster in eig_clusters(w):
+        block = v[:, start:start + len(cluster)]
+        p = block @ block.conj().T
+        out += p @ b @ p
+        start += len(cluster)
     if isinstance(rho, (LabeledOperator, DensityOp)):
         sp = rho.space
         return LabeledOperator(sp, out)
@@ -499,12 +464,7 @@ def purify(rho: DensityOp, ref_label: str) -> PureState:
     w = w[keep]
     v = v[:, keep]
     r = len(w)
-    d = rho.space.total_dim
-    vec = np.zeros(d * r, dtype=complex)
-    for i in range(r):
-        e = np.zeros(r)
-        e[i] = 1.0
-        vec += np.sqrt(w[i]) * np.kron(v[:, i], e)
+    vec = (v * np.sqrt(w)).ravel()
     vec /= np.linalg.norm(vec)
     sp = SubsystemSpace(rho.labels + (ref_label,), rho.space.dims + (r,))
     return PureState(sp, vec)
@@ -525,11 +485,6 @@ def maximally_mixed(d: int, label: str = "A") -> DensityOp:
     return DensityOp(LabeledOperator(sp, np.eye(d) / d), "unit")
 
 
-def maximally_mixed_on(sp: SubsystemSpace) -> DensityOp:
-    d = sp.total_dim
-    return DensityOp(LabeledOperator(sp, np.eye(d) / d), "unit")
-
-
 def identity_on(sp: SubsystemSpace) -> LabeledOperator:
     return LabeledOperator(sp, np.eye(sp.total_dim), hermitian_hint=True)
 
@@ -541,46 +496,52 @@ def xi(eps: float) -> float:
     return math.sqrt(eps * (2.0 + eps + 2.0 * math.sqrt(1.0 + eps)))
 
 
-def q_map(sigma: LabeledOperator, label_a: str) -> LabeledOperator:
-    """|A| Tr_A(sigma sigma^dag) - sigma^B (sigma^B)^dag on the remaining factors."""
-    sigma.space.index_of(label_a)
-    da = sigma.space.dim_of(label_a)
-    ss = LabeledOperator(sigma.space, sigma.entries @ sigma.entries.conj().T)
-    first = partial_trace(ss, {label_a})
-    sb = partial_trace(sigma, {label_a})
-    out = da * first.entries - sb.entries @ sb.entries.conj().T
-    return LabeledOperator(first.space, out)
-
-
-def apply_matrix(vec: PureState | np.ndarray, mat: np.ndarray,
-                 space_in: SubsystemSpace, act_labels,
+def apply_matrix(x, mat, space_in: SubsystemSpace, act_labels,
                  out_labels=None, out_dims=None) -> tuple[np.ndarray, SubsystemSpace]:
-    """Apply ``mat`` to the named factors of a state vector.
+    """Apply ``mat`` to the named factors of a state vector or an operator.
 
-    The acted factors are replaced by ``out_labels``/``out_dims`` (defaults:
-    unchanged).  Returns the raw vector and its new space; normalization is
-    the caller's business.
+    A vector v (1-D array or PureState) becomes (mat (x) 1) v; an operator X
+    (2-D array or LabeledOperator, Hermitian or not) becomes
+    (mat (x) 1) X (mat (x) 1)^dag.  ``mat=None`` stands for the identity, so
+    the factors are only reordered.  The acted factors are replaced by
+    ``out_labels``/``out_dims`` (defaults: unchanged) and come first in the
+    result, followed by the spectators in their original order.  Returns the
+    raw array and its new space; normalization is the caller's business.
+
+    The work is one reshape/transpose plus a matmul per side, O(d_act d^2)
+    for an operator of dimension d, and never forms mat (x) 1.
     """
+    if isinstance(x, PureState):
+        space_in, x = x.space, x.amplitudes
+    elif isinstance(x, LabeledOperator):
+        space_in, x = x.space, x.entries
+    x = np.asarray(x)
     act_labels = tuple(act_labels)
-    if isinstance(vec, PureState):
-        space_in = vec.space
-        vec = vec.amplitudes
-    for l in act_labels:
-        space_in.index_of(l)
-    spect = tuple(l for l in space_in.labels if l not in set(act_labels))
-    perm_labels = act_labels + spect
-    perm = [space_in.labels.index(l) for l in perm_labels]
-    dims = space_in.dims
-    t = np.asarray(vec).reshape(dims).transpose(perm)
-    d_act = int(np.prod([space_in.dim_of(l) for l in act_labels], dtype=np.int64))
-    d_sp = t.size // d_act
-    t = t.reshape(d_act, d_sp)
-    out = mat @ t
+    if len(set(act_labels)) != len(act_labels):
+        raise LabelError(f"repeated label in {act_labels}")
+    labels, dims = space_in.labels, space_in.dims
+    act = [space_in.index_of(l) for l in act_labels]
+    spect = [i for i in range(len(labels)) if i not in act]
+    spect_dims = tuple(dims[i] for i in spect)
+    d_act, d_sp = math.prod(dims[i] for i in act), math.prod(spect_dims)
     if out_labels is None:
-        out_labels = act_labels
-        out_dims = tuple(space_in.dim_of(l) for l in act_labels)
-    out_labels = tuple(out_labels)
+        out_labels, out_dims = act_labels, tuple(dims[i] for i in act)
     out_dims = tuple(out_dims)
-    sp_out = SubsystemSpace(out_labels + spect,
-                            out_dims + tuple(space_in.dim_of(l) for l in spect))
-    return out.ravel(), sp_out
+    sp_out = SubsystemSpace(tuple(out_labels) + tuple(labels[i] for i in spect),
+                            out_dims + spect_dims)
+    d_out = math.prod(out_dims)
+    if mat is not None and mat.shape != (d_out, d_act):
+        raise ValueError(f"matrix shape {mat.shape} does not map {d_act} to {d_out}")
+    perm = act + spect
+    is_op = x.ndim == 2
+    t = x.reshape(dims * 2 if is_op else dims)
+    if perm != sorted(perm):
+        t = t.transpose(perm + [p + len(perm) for p in perm] if is_op else perm)
+    t = t.reshape(d_act, -1)
+    if mat is not None:
+        t = mat @ t
+        if is_op:
+            # rows are done; the column side is one batched matmul with conj(mat)
+            t = np.matmul(mat.conj(), t.reshape(d_out * d_sp, d_act, d_sp))
+    d = d_out * d_sp
+    return (t.reshape(d, d) if is_op else t.reshape(d)), sp_out

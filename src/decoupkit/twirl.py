@@ -12,16 +12,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausMap, choi
+from .channels import KrausMap, choi, output_marginal
 from .qmat import (
     LabeledOperator,
     LabelError,
     SubsystemSpace,
-    identity_on,
+    apply_matrix,
     partial_trace,
     tensor,
 )
@@ -133,12 +133,9 @@ class UnitaryEnsemble:
 
 def _conjugate_on(m: LabeledOperator, u: np.ndarray, label_a: str) -> LabeledOperator:
     """(U (x) I) m (U (x) I)^dag acting on the named factor."""
-    spect = tuple(l for l in m.labels if l != label_a)
-    perm = m.permuted((label_a,) + spect)
-    d_sp = perm.space.total_dim // u.shape[0]
-    big = np.kron(u, np.eye(d_sp))
-    out = LabeledOperator(perm.space, big @ perm.entries @ big.conj().T)
-    return out.permuted(m.labels)
+    entries, sp = apply_matrix(m, u, None, (label_a,))
+    out = LabeledOperator(sp, entries)
+    return out if sp.labels == m.labels else out.permuted(m.labels)
 
 
 def twirl_moment1(m: LabeledOperator, label_a: str = "A") -> LabeledOperator:
@@ -170,10 +167,15 @@ def twirl_moment2(sigma: LabeledOperator, x: LabeledOperator, w: LabeledOperator
     w_perm = w.permuted(rest)
     sig_r = partial_trace(perm, {label_a}).entries
     lam = sig_r @ w_perm.entries @ sig_r.conj().T
-    d_r = perm.space.total_dim // da
-    big_w = np.kron(np.eye(da), w_perm.entries)
-    ups_full = perm.entries @ big_w @ perm.entries.conj().T
-    ups = partial_trace(LabeledOperator(perm.space, ups_full), {label_a}).entries
+    # Upsilon needs (1 (x) W) sigma^dag.  With sigma in (rest, A) order, read
+    # sigma^dag as a vector with one more factor for its column index; W then
+    # acts on the leading rest factors of its rows and nothing has to move.
+    sr = sigma.permuted(rest + (label_a,))
+    d = sr.dim
+    rows = SubsystemSpace(sr.labels + ("__col__",), sr.space.dims + (d,))
+    wsd, _ = apply_matrix(sr.entries.conj().T.ravel(), w_perm.entries, rows, rest)
+    ups_full = LabeledOperator(sr.space, sr.entries @ wsd.reshape(d, d))
+    ups = partial_trace(ups_full, {label_a}).entries
     tr_x = complex(np.trace(x.entries))
     term1 = np.kron(x.entries, da * lam - ups)
     term2 = tr_x * np.kron(np.eye(da), da * ups - lam)
@@ -225,24 +227,24 @@ def second_moment_delta(T: KrausMap, sigma: LabeledOperator,
 def delta_of(T: KrausMap, sigma: LabeledOperator, u: np.ndarray,
              label_a: str = "A") -> LabeledOperator:
     """T(U sigma U^dag) - omega_E (x) sigma^R for one concrete unitary."""
-    rest = tuple(l for l in sigma.labels if l != label_a)
     rotated = _conjugate_on(sigma, u, label_a)
     out = T.apply(rotated)
-    c = choi(T)
-    om_e = partial_trace(c.op, tuple(l for l in c.op.labels
-                                     if l not in set(T.out_space.labels)))
+    om_e = output_marginal(T)
     sig_r = partial_trace(sigma, {label_a})
     ref = tensor(om_e, sig_r).permuted(out.labels)
     return out - ref
 
 
 def _worker_count() -> int:
+    """The DECOUPKIT_WORKERS thread count, 1 when unset; raises unless a positive integer."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
-        n = 1
-    return max(n, 1)
+        n = 0
+    if n < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return n
 
 
 def mc_average(f, ensemble: UnitaryEnsemble, n_samples: int, seed: RngSeed,

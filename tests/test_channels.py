@@ -17,6 +17,7 @@ from decoupkit.channels import (
     is_class1,
     map_from_choi,
     measurement_map,
+    output_marginal,
     randomizing_map,
     t_w_map,
     theta,
@@ -26,6 +27,7 @@ from decoupkit.channels import (
 from decoupkit.qmat import (
     LabeledOperator,
     PartialIsom,
+    partial_trace,
     space,
     truncation_isometry,
 )
@@ -172,3 +174,18 @@ def test_compose_label_mismatch_rejected():
     t2 = t_w_map(truncation_isometry(space(A=4), space(C=2)))
     with pytest.raises(ValueError):
         compose(t1, t2)
+
+
+def test_output_marginal_matches_choi_partial_trace():
+    g = rng(31)
+    maps = [random_kraus_channel(g, space(A=2), space(E=2)),
+            random_kraus_channel(g, space(A=3), space(E=2, F=2)),
+            random_kraus_channel(g, space(A=2, B=2), space(E=3)),
+            t_w_map(random_partial_isometry(g, space(A=4), space(B=2)))]
+    for t in maps:
+        c = choi(t).op
+        ref = partial_trace(c, tuple(l for l in c.labels
+                                     if l not in t.out_space.labels))
+        got = output_marginal(t)
+        assert got.space == ref.space
+        assert np.abs(got.entries - ref.entries).max() <= 1e-12

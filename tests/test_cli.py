@@ -176,3 +176,11 @@ def test_all_subcommands_exist():
                 "sweep"):
         args = parser.parse_args([cmd, "--seed", "1"])
         assert args.seed == 1
+
+
+def test_cli_rejects_bad_worker_count_with_exit_code_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DECOUPKIT_WORKERS", "abc")
+    rc = cli.main(["theta", "--seed", "1", "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert "DECOUPKIT_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decoupkit.qmat import (
     DensityOp,
@@ -138,3 +139,69 @@ def test_apply_matrix_reorders_outputs():
 def test_maximally_mixed_trace():
     pi = maximally_mixed(5)
     assert abs(np.trace(pi.op.entries).real - 1.0) <= 1e-12
+
+
+def test_pure_state_permuted_rejects_repeated_labels():
+    psi = random_pure(rng(7), space(A=2, R=3))
+    with pytest.raises(LabelError):
+        psi.permuted(("A", "R", "A"))
+    with pytest.raises(LabelError):
+        psi.permuted(("A",))
+
+
+def test_apply_matrix_rejects_bad_input():
+    psi = random_pure(rng(8), space(A=2, R=3))
+    with pytest.raises(ValueError):
+        apply_matrix(psi.amplitudes, np.eye(3), psi.space, ("A",))
+    with pytest.raises(LabelError):
+        apply_matrix(psi.amplitudes, np.eye(4), psi.space, ("A", "A"))
+    with pytest.raises(LabelError):
+        apply_matrix(psi.amplitudes, np.eye(2), psi.space, ("A",), ("R",), (2,))
+
+
+@st.composite
+def _kernel_cases(draw):
+    k = draw(st.integers(1, 4))
+    labels = tuple("PQRS"[:k])
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    act = tuple(draw(st.permutations(labels)))[:draw(st.integers(1, k))]
+    if draw(st.booleans()):
+        out_labels = out_dims = None
+    else:
+        out_dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        out_labels = tuple(f"Z{i}" for i in range(len(out_dims)))
+    return (SubsystemSpace(labels, dims), act, out_labels, out_dims,
+            draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_apply_matrix_matches_dense_kron_reference(case):
+    sp, act, out_labels, out_dims, is_op, seed = case
+    g = rng(seed)
+    d = sp.total_dim
+    d_act = sp.subspace(act).total_dim
+    d_out = d_act if out_dims is None else int(np.prod(out_dims))
+    mat = g.normal(size=(d_out, d_act)) + 1j * g.normal(size=(d_out, d_act))
+    shape = (d, d) if is_op else (d,)
+    x = g.normal(size=shape) + 1j * g.normal(size=shape)
+
+    got, sp_out = apply_matrix(x, mat, sp, act, out_labels, out_dims)
+
+    # dense reference: reorder to (act, spectators), then kron(mat, I)
+    spect = tuple(l for l in sp.labels if l not in act)
+    order = [sp.index_of(l) for l in act + spect]
+    reorder = np.eye(d)[np.arange(d).reshape(sp.dims).transpose(order).ravel()]
+    big = np.kron(mat, np.eye(d // d_act))
+    want = big @ reorder @ x
+    if is_op:
+        want = want @ (big @ reorder).conj().T
+    out_dims = out_dims or tuple(sp.dim_of(l) for l in act)
+    assert sp_out == SubsystemSpace((out_labels or act) + spect,
+                                    out_dims + tuple(sp.dim_of(l) for l in spect))
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+    # the identity marker only reorders
+    moved, sp_moved = apply_matrix(x, None, sp, act)
+    assert sp_moved.labels == act + spect
+    ref_moved = reorder @ x @ reorder.T if is_op else reorder @ x
+    assert np.array_equal(moved, ref_moved)

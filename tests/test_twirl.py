@@ -7,10 +7,12 @@ import pytest
 
 from decoupkit.qmat import LabeledOperator, partial_trace, space
 from decoupkit.twirl import (
+    WORKERS_ENV,
     McEstimate,
     RngSeed,
     UnitaryEnsemble,
     _conjugate_on,
+    _worker_count,
     clifford_qubit,
     ensemble_average_operator,
     haar_unitary,
@@ -122,3 +124,17 @@ def test_second_moment_delta_matches_direct_mc():
 def test_unknown_ensemble_rejected():
     with pytest.raises(ValueError):
         UnitaryEnsemble("dihedral", 2)
+
+
+def test_worker_count_parses_positive_integers(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    assert _worker_count() == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
+def test_worker_count_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv(WORKERS_ENV, raw)
+    with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*{raw!r}"):
+        _worker_count()
