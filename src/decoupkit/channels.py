@@ -22,7 +22,6 @@ from .qmat import (
     SubsystemSpace,
     apply_matrix,
     mat_power,
-    mes,
     partial_trace,
     trace_norm,
 )
@@ -120,9 +119,9 @@ def trace_map(sp: SubsystemSpace, out_label: str = "E") -> KrausMap:
 
 def partial_trace_map(sp: SubsystemSpace, traced_labels) -> KrausMap:
     """Trace out the named factors, as a Kraus map."""
-    traced = tuple(l for l in sp.labels if l in set(traced_labels))
-    keep = tuple(l for l in sp.labels if l not in set(traced))
-    out = sp.subspace(keep)
+    out = sp.drop(traced_labels)
+    keep = out.labels
+    traced = tuple(l for l in sp.labels if l not in set(keep))
     d_keep = out.total_dim
     # idx[j, i]: the basis index of the state with kept part j and traced part i
     idx = apply_matrix(np.arange(sp.total_dim), None, sp, keep + traced)[0]
@@ -178,15 +177,12 @@ def choi(T: KrausMap) -> ChoiMatrix:
     """omega = (T (x) id)(Phi) on out_space (x) primed copy of in_space."""
     d = T.in_space.total_dim
     ref_labels = _primed(T.in_space.labels, T.out_space.labels)
-    phi = mes(d, "__in__", "__ref__")
-    proj = phi.projector().op
-    flat_in = SubsystemSpace(("__in__",), (d,))
-    lifted = KrausMap(flat_in, T.out_space, T.kraus, T.tp_class)
-    out = lifted.apply(proj)
-    ref_space = SubsystemSpace(ref_labels, T.in_space.dims)
+    # (K (x) 1)|Phi> = vec(K)/sqrt(d), laid out (out, ref)
+    vs = np.stack([k.ravel() for k in T.kraus], axis=1) / math.sqrt(d)
     labels = T.out_space.labels + ref_labels
     dims = T.out_space.dims + T.in_space.dims
-    return ChoiMatrix(LabeledOperator(SubsystemSpace(labels, dims), out.entries), T)
+    return ChoiMatrix(LabeledOperator(SubsystemSpace(labels, dims),
+                                      vs @ vs.conj().T), T)
 
 
 def map_from_choi(c: ChoiMatrix, in_space: SubsystemSpace,

@@ -166,21 +166,22 @@ def _dtypes(cfg: ExperimentConfig) -> list[str]:
 
 
 def _grid(cfg: ExperimentConfig) -> list[dict]:
+    dims = cfg.dims or (2,)
     if cfg.kind == "entropy":
         return [{"alpha": a, "dtype": t, "arrow": ar}
                 for a in cfg.alphas for t in _dtypes(cfg)
                 for ar in ("fixed_marginal", "optimized")]
     if cfg.kind == "theta":
-        return [{"dim": d} for d in cfg.dims]
+        return [{"dim": d} for d in dims]
     if cfg.kind == "twirl_check":
         return [{"check": "moment1"}, {"check": "moment2"}]
     if cfg.kind == "decouple":
-        return [{"alpha": a, "n": n, "dtype": t, "dim_b": cfg.dims[0]}
+        return [{"alpha": a, "n": n, "dtype": t, "dim_b": dims[0]}
                 for a in cfg.alphas for n in cfg.ns for t in _dtypes(cfg)]
     if cfg.kind == "sweep":
         return [{"alpha": a, "n": n, "dtype": t, "dim_b": d}
                 for a in cfg.alphas for n in cfg.ns for t in _dtypes(cfg)
-                for d in cfg.dims]
+                for d in dims]
     if cfg.kind == "protocol":
         return [{"alpha": a, "n": n} for a in cfg.alphas for n in cfg.ns]
     raise ValueError(f"unknown kind {cfg.kind!r}")
@@ -253,19 +254,23 @@ def _decouple_row(cfg: ExperimentConfig, pt: dict, seed: RngSeed) -> dict:
             "lhs_stderr": est.stderr, "slack": rep.rhs - est.mean, "error": ""}
 
 
+def _schumacher_default_dim_b(psi, n: int, alpha: float, delta1: float) -> int:
+    """Schumacher code size when `dims` is unset: delta1 bits per copy above the
+    dual Renyi entropy H_{1/alpha} of the A marginal, clipped to [1, 2^n]."""
+    h = entropy.renyi_entropy(marginal(psi.amplitudes, psi.space, ("A",)), 1.0 / alpha)
+    return max(1, min(2 ** n, math.floor(2.0 ** (n * (h + delta1)))))
+
+
 def _protocol_row(cfg: ExperimentConfig, pt: dict, seed: RngSeed) -> dict:
     n = pt["n"]
     alpha = pt["alpha"]
     which = cfg.protocol
     if which == "schumacher":
         psi = fixture_pure_ar(cfg.fixture, seed)
-        if cfg.dims != (2,):
+        if cfg.dims:
             dim_b = cfg.dims[0]
         else:
-            # rate-based default: delta1 bits per copy above the dual entropy
-            h = entropy.renyi_entropy(
-                marginal(psi.amplitudes, psi.space, ("A",)), 1.0 / alpha)
-            dim_b = max(1, min(2 ** n, math.floor(2.0 ** (n * (h + cfg.delta1)))))
+            dim_b = _schumacher_default_dim_b(psi, n, alpha, cfg.delta1)
         res = schumacher_run(psi, n, dim_b, seed, alpha)
     elif which == "fqsw":
         psi = fixture_pure_abr(cfg.fixture, seed)

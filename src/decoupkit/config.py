@@ -29,7 +29,7 @@ class ExperimentConfig:
     fixture: str = "default"
     alphas: tuple = (1.5,)
     ns: tuple = (1,)
-    dims: tuple = (2,)
+    dims: tuple = ()  # empty: each kind's own default
     ms: tuple = (4,)
     samples: int = 200
     dtype: str = "old"
@@ -107,7 +107,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"kind: {cfg.kind!r} is not one of {KINDS}")
     if cfg.dtype not in DTYPES:
         v.append(f"dtype: {cfg.dtype!r} is not one of {DTYPES}")
-    for name in ("alphas", "ns", "dims", "ms"):
+    for name in ("alphas", "ns", "ms"):
         if len(getattr(cfg, name)) == 0:
             v.append(f"{name}: grid must be non-empty")
     for a in cfg.alphas:

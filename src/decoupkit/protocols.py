@@ -170,8 +170,8 @@ def uhlmann_extend(xi_AB, psi_AC: PureState, eps: float,
     out, sp_out = apply_matrix(vec, vm, op.space, tuple(b_labels),
                                tuple(c_labels),
                                tuple(psi_AC.space.dim_of(l) for l in c_labels))
-    moved = LabeledOperator(sp_out, np.outer(out, out.conj()))
-    achieved = trace_norm(moved - psi_AC.projector().op.permuted(sp_out.labels))
+    tgt = psi_AC.permuted(sp_out.labels).amplitudes
+    achieved = trace_norm(np.outer(out, out.conj()) - np.outer(tgt, tgt.conj()))
     if achieved > xi(eps) + tol:
         raise AssertionError(
             f"purified distance {achieved} exceeds Xi(eps) = {xi(eps)}")
@@ -257,31 +257,32 @@ def schumacher_run(psi_AR: PureState, n: int, dim_b: int, seed: RngSeed,
 
 
 def _schumacher_error(psin: PureState, w2: PartialIsom, dim_b: int) -> float:
-    """|| W2^dag . C_W2(psi) - psi ||_1 without forming the full-space operator.
+    """|| W2^dag . C_W2(psi) - psi ||_1 from a |R|+1 square arrowhead matrix.
 
-    C_W2(rho) = W2 rho W2^dag + Tr[(1 - W2^dag W2) rho] pi_B, so the decoded
-    state lives in span(col(W2^dag)) (x) R; the difference to psi acts on that
-    subspace plus at most one extra direction, and the trace norm is computed
-    there.  Agrees with the channel-level computation, checked at small n.
+    C_W2(rho) = W2 rho W2^dag + Tr[(1 - W2^dag W2) rho] pi_B, so the difference
+    to psi lives in col(W2^dag) (x) R plus the residual direction r/|r| of
+    psi outside it, with r = (1 - W2^dag W2) psi.  In coordinates c = (W2 (x) 1)
+    psi (laid out B, R) and that direction it reads
+    [[K, -|r| c], [-|r| c^dag, -|r|^2]] with K = pi_B (x) rho_r, rho_r = Tr_A |r><r|.
+    Diagonalize rho_r = sum_i lam_i |v_i><v_i|: on B (x) v_i, K is lam_i/|B|
+    times the identity and meets the residual direction only through
+    z_i = |r| ||(1 (x) <v_i|) c||, so |B| - 1 of its directions are eigenvectors
+    with eigenvalue lam_i/|B|.  What is left is the arrowhead
+    [[diag(lam/|B|), -z], [-z^T, -|r|^2]], and
+    ||.||_1 = (|B| - 1)/|B| sum_i |lam_i| + ||arrowhead||_1
+    (the deflation of a low-rank modification; Golub, SIAM Rev. 15, 1973).
     """
     sp = psin.space
     w2e = w2.entries
-    v1, _ = apply_matrix(psin.amplitudes, w2e, sp, ("A",), ("B",), (dim_b,))
+    c, _ = apply_matrix(psin.amplitudes, w2e, sp, ("A",), ("B",), (dim_b,))
     kerp = np.eye(w2e.shape[1]) - w2e.conj().T @ w2e
-    # the residual of psi outside the column span of kron(W2^dag, I)
     resid, sp_r = apply_matrix(psin.amplitudes, kerp, sp, ("A",))
-    rho_r = marginal(resid, sp_r, ("R",)).entries
-    sigma = np.outer(v1, v1.conj()) + np.kron(np.eye(dim_b) / dim_b, rho_r)
-    # orthonormal basis: columns of kron(W2^dag, I) plus the residual of psi
-    c1 = v1  # kron(W2, I) psi, coordinates of psi inside the column span
+    lam, vec = np.linalg.eigh(marginal(resid, sp_r, ("R",)).entries)
     r_norm = np.linalg.norm(resid)
-    d = sigma.shape[0] + 1
-    red = np.zeros((d, d), dtype=complex)
-    red[:-1, :-1] = sigma - np.outer(c1, c1.conj())
-    red[:-1, -1] = -c1 * r_norm
-    red[-1, :-1] = -c1.conj() * r_norm
-    red[-1, -1] = -r_norm ** 2
-    return trace_norm(red)
+    z = r_norm * np.linalg.norm(c.reshape(dim_b, -1) @ vec.conj(), axis=0)
+    arrow = np.diag(np.append(lam / dim_b, -r_norm ** 2))
+    arrow[:-1, -1] = arrow[-1, :-1] = -z
+    return (dim_b - 1) / dim_b * float(np.abs(lam).sum()) + trace_norm(arrow)
 
 
 def _schumacher_bound(psi_AR: PureState, n: int, dim_b: int, alpha: float) -> float:
@@ -373,7 +374,7 @@ def fqsw_run(psi_ABR: PureState, n: int, dim_a1: int, dim_a2: int,
                                ("B1", "Bt", "B3"), (dim_a1, dan, db ** n))
         cols.append(apply_matrix(v3, None, sp3, order)[0])
     stacked = np.column_stack(cols + [target.amplitudes])
-    _, r = np.linalg.qr(stacked)
+    r = np.linalg.qr(stacked, mode="r")
     small_f = r[:, :-1]
     small_t = r[:, -1:]
     measured = trace_norm(small_f @ small_f.conj().T
@@ -525,8 +526,8 @@ def merge_run(psi_ABR: PureState, n: int, cfg: MergeConfig, seed: RngSeed,
         d_kraus.append(np.kron(sel, vx))
     dec = KrausMap(d_in, d_out, d_kraus, "cp_general")
     final = dec.apply(sigma.permuted(("X", "B", "B0", "A1", "R")))
-    tgt = target.projector().op.permuted(final.labels)
-    measured = trace_norm(final - tgt)
+    tgt = target.permuted(final.labels).amplitudes
+    measured = trace_norm(final.entries - np.outer(tgt, tgt.conj()))
     beta_n = tht_n + 2.0 / cfg.zeta
     bound = xi(eps_n) + 2.0 * math.sqrt(beta_n) + math.sqrt(2.0) * beta_n ** 0.75 + beta_n
     return ProtocolResult(

@@ -18,6 +18,7 @@ from decoupkit.channels import (
     map_from_choi,
     measurement_map,
     output_marginal,
+    partial_trace_map,
     randomizing_map,
     t_w_map,
     theta,
@@ -26,7 +27,10 @@ from decoupkit.channels import (
 )
 from decoupkit.qmat import (
     LabeledOperator,
+    LabelError,
     PartialIsom,
+    SubsystemSpace,
+    mes,
     partial_trace,
     space,
     truncation_isometry,
@@ -189,3 +193,27 @@ def test_output_marginal_matches_choi_partial_trace():
         got = output_marginal(t)
         assert got.space == ref.space
         assert np.abs(got.entries - ref.entries).max() <= 1e-12
+
+
+def test_choi_matches_lifted_projector_construction():
+    g = rng(32)
+    maps = [random_kraus_channel(g, space(A=2), space(A=2)),
+            random_kraus_channel(g, space(A=2), space(E=3)),
+            random_kraus_channel(g, space(A=3, B=2), space(E=2), n_env=3),
+            random_kraus_channel(g, space(A=2, B=2), space(E=2, F=3)),
+            t_w_map(random_partial_isometry(g, space(A=4), space(B=2)))]
+    for t in maps:
+        d = t.in_space.total_dim
+        proj = mes(d, "__in__", "__ref__").projector()
+        lifted = KrausMap(SubsystemSpace(("__in__",), (d,)), t.out_space, t.kraus)
+        want = lifted.apply(proj)
+        got = choi(t).op
+        assert got.labels[:len(t.out_space.labels)] == t.out_space.labels
+        assert got.space.dims == t.out_space.dims + t.in_space.dims
+        assert np.abs(got.entries - want.entries).max() <= 1e-12
+    assert choi(maps[0]).op.labels == ("A", "A'")
+
+
+def test_partial_trace_map_rejects_unknown_labels():
+    with pytest.raises(LabelError, match="'Z'"):
+        partial_trace_map(space(A=2, B=3), ("Z",))

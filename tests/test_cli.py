@@ -29,6 +29,12 @@ def test_config_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_config_unset_dims_round_trips():
+    cfg = _cfg(kind="protocol")
+    assert cfg.dims == () and validate(cfg) == []
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_config_missing_seed_and_kind():
     with pytest.raises(ConfigError) as ei:
         parse_config("alphas = 1.5\n")
@@ -184,3 +190,20 @@ def test_cli_rejects_bad_worker_count_with_exit_code_2(tmp_path, monkeypatch, ca
     assert rc == 2
     assert "DECOUPKIT_WORKERS" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_protocol_schumacher_explicit_dims_2_is_kept():
+    cfg = parse_config("kind = protocol\nseed = 3\nprotocol = schumacher\n"
+                       "fixture = skewed\nalphas = 1.5\nns = 3\ndims = 2\n")
+    row = cli.run(cfg).rows[0]
+    assert row["error"] == ""
+    assert float(json.loads(row["rates"])["compression_rate"]) == pytest.approx(1 / 3)
+
+
+def test_protocol_schumacher_unset_dims_uses_rate_default():
+    cfg = parse_config("kind = protocol\nseed = 3\nprotocol = schumacher\n"
+                       "fixture = skewed\nalphas = 1.5\nns = 2,3,4,5,6\n")
+    rows = cli.run(cfg).rows
+    assert [r["error"] for r in rows] == [""] * 5
+    rates = [float(json.loads(r["rates"])["compression_rate"]) for r in rows]
+    assert [round(2.0 ** (n * r)) for n, r in zip(range(2, 7), rates)] == [2, 4, 6, 11, 18]

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from decoupkit.cli import _schumacher_default_dim_b, fixture_pure_abr, fixture_pure_ar
 from decoupkit.protocols import (
     MergeConfig,
     ProtocolResult,
+    _schumacher_error,
     destroy_run,
     fqsw_run,
     fuchs_vdg_check,
@@ -21,6 +23,7 @@ from decoupkit.qmat import (
     DensityOp,
     LabeledOperator,
     PureState,
+    apply_matrix,
     mes,
     purify,
     space,
@@ -29,7 +32,13 @@ from decoupkit.qmat import (
 )
 from decoupkit.twirl import RngSeed
 
-from conftest import random_density, random_pure, random_unitary, rng
+from conftest import (
+    random_density,
+    random_partial_isometry,
+    random_pure,
+    random_unitary,
+    rng,
+)
 
 
 def _xi(eps):
@@ -187,3 +196,56 @@ def test_protocol_result_validation():
         ProtocolResult(-0.1, 1.0, {}, 1, RngSeed(0))
     with pytest.raises(ValueError):
         ProtocolResult(0.1, 1.0, {"rate": math.inf}, 1, RngSeed(0))
+
+
+def _dense_schumacher_error(psin, w2, dim_b):
+    """The (|B||R|+1)-square operator whose trace norm _schumacher_error deflates."""
+    w2e = w2.entries
+    v1, _ = apply_matrix(psin.amplitudes, w2e, psin.space, ("A",), ("B",), (dim_b,))
+    kerp = np.eye(w2e.shape[1]) - w2e.conj().T @ w2e
+    resid, sp_r = apply_matrix(psin.amplitudes, kerp, psin.space, ("A",))
+    rho_r = marginal(resid, sp_r, ("R",)).entries
+    sigma = np.outer(v1, v1.conj()) + np.kron(np.eye(dim_b) / dim_b, rho_r)
+    r_norm = np.linalg.norm(resid)
+    d = sigma.shape[0] + 1
+    red = np.zeros((d, d), dtype=complex)
+    red[:-1, :-1] = sigma - np.outer(v1, v1.conj())
+    red[:-1, -1] = -v1 * r_norm
+    red[-1, :-1] = -v1.conj() * r_norm
+    red[-1, -1] = -r_norm ** 2
+    return trace_norm(red)
+
+
+@pytest.mark.parametrize("fixture", ["skewed", "bell", "random", "default"])
+def test_schumacher_error_matches_dense_reduction(fixture):
+    g = rng(68)
+    psi = fixture_pure_ar(fixture, RngSeed(9))
+    for n in range(1, 6):
+        psin = iid_pure(psi, n)
+        dan = 2 ** n
+        rate_dim = _schumacher_default_dim_b(psi, n, 1.5, 0.1)
+        for dim_b in sorted({1, rate_dim, dan}):
+            w2 = random_partial_isometry(g, space(A=dan), space(B=dim_b))
+            got = _schumacher_error(psin, w2, dim_b)
+            want = _dense_schumacher_error(psin, w2, dim_b)
+            assert abs(got - want) <= 1e-12, (n, dim_b, got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fqsw_error_matches_full_space_operator(n, monkeypatch):
+    # the error is read off the R factor of the final state's columns; compare
+    # it with the trace norm of F F^dag - t t^dag on the whole output space
+    seen = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        seen.append(a)
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    res = fqsw_run(fixture_pure_abr("random", RngSeed(3)), n, 2, 2,
+                   RngSeed(78), n_tries=3)
+    monkeypatch.undo()
+    f, t = seen[-1][:, :-1], seen[-1][:, -1]
+    want = trace_norm(f @ f.conj().T - np.outer(t, t.conj()))
+    assert abs(res.measured_error - want) <= 1e-12
